@@ -26,15 +26,12 @@
 // A fourth section measures the concurrent fold scheduler (DESIGN.md §9):
 // {1,2,4} models x {1,4} shards with all sessions' fold plans overlapped
 // on the shared pool, reporting per-model/aggregate grads/s and the fold
-// occupancy high-water mark, against the serialized-plan baseline
-// (RuntimeConfig::serialize_folds) at 4 models x 4 shards.
+// occupancy high-water mark.
 //
 // A fifth section sweeps the planner control plane (DESIGN.md §13):
 // 8 tenants on one host with aggregation_shards = 1, so every session's
-// fold runs inline on its planner thread — the planners are the bottleneck
-// by construction — across {1,2,4} planner threads, plus a pinned-batch vs
-// adaptive-drain-batching comparison at 2 planners (planner_* and
-// adaptive_batch_* metrics).
+// fold runs on its own planner thread — the planners are the bottleneck
+// by construction — across {1,2,4} planner threads (planner_* metrics).
 //
 // A sixth section measures the telemetry overhead (DESIGN.md §11): the
 // aggregation-bound scenario twice, tracing off and on, best of two runs
@@ -257,8 +254,6 @@ double run_sharded(std::size_t shards, std::size_t total_gradients) {
 /// session at K = 1 (fold + apply + publish per gradient, the
 /// aggregation-bound scenario above) — measures how the shared queue,
 /// aggregation thread and fold scheduler carry added tenants.
-/// `serialize_folds` selects the pre-scheduler baseline (each session's
-/// plan waited before the next is submitted).
 struct MultitenantResult {
   double aggregate = 0.0;       ///< grads/s across all models
   double per_model_mean = 0.0;  ///< mean per-model grads/s
@@ -269,7 +264,6 @@ struct MultitenantResult {
 };
 
 MultitenantResult run_multitenant(std::size_t n_models, std::size_t shards,
-                                  bool serialize_folds,
                                   std::size_t total_gradients) {
   fleet::core::ServerConfig config;
   config.aggregator.aggregation_k = 1;
@@ -277,7 +271,6 @@ MultitenantResult run_multitenant(std::size_t n_models, std::size_t shards,
   runtime.queue_capacity = 1024;
   runtime.queue_shards = n_models;
   runtime.aggregation_shards = shards;
-  runtime.serialize_folds = serialize_folds;
   runtime.max_drain_batch = 64;
   fleet::runtime::ConcurrentFleetServer host(runtime);
 
@@ -340,20 +333,14 @@ MultitenantResult run_multitenant(std::size_t n_models, std::size_t shards,
 
 /// Planner-bound scenario (DESIGN.md §13): 8 tenants on one host with
 /// aggregation_shards = 1, so each session's weighted fold and model apply
-/// run INLINE on its planner thread — the planner control plane is the
+/// run on its own planner thread (the fold pool has no workers) — the
+/// planner control plane is the
 /// bottleneck by construction, and the planner count is the variable.
 /// 4 producers replay pre-computed gradients (one memcpy each) at K = 1,
 /// each producer round-robining over its own tenant subset so every
 /// planner group sees steady pressure.
-struct PlannerSweepResult {
-  double aggregate = 0.0;  ///< grads/s across all tenants
-  std::size_t widenings = 0;
-  std::size_t narrowings = 0;
-  std::size_t batch_limit_max = 0;  ///< widest per-planner final limit
-};
-
-PlannerSweepResult run_planner_sweep(std::size_t planners, bool adaptive,
-                                     std::size_t total_gradients) {
+/// Returns grads/s across all tenants.
+double run_planner_sweep(std::size_t planners, std::size_t total_gradients) {
   constexpr std::size_t kTenants = 8;
   constexpr std::size_t kProducers = 4;
   fleet::core::ServerConfig config;
@@ -362,15 +349,8 @@ PlannerSweepResult run_planner_sweep(std::size_t planners, bool adaptive,
   runtime.queue_capacity = 1024;
   runtime.queue_shards = kTenants;
   runtime.planner_threads = planners;
-  runtime.aggregation_shards = 1;  // folds stay inline on the planners
+  runtime.aggregation_shards = 1;  // folds run on the planners themselves
   runtime.max_drain_batch = 64;
-  if (adaptive) {
-    runtime.adaptive_batch.enabled = true;
-    runtime.adaptive_batch.min_batch = 8;
-    runtime.adaptive_batch.max_batch = 256;
-    runtime.adaptive_batch.window = 4;
-    runtime.adaptive_batch.hysteresis = 2;
-  }
   fleet::runtime::ConcurrentFleetServer host(runtime);
 
   std::vector<std::unique_ptr<fleet::nn::Sequential>> models;
@@ -416,16 +396,8 @@ PlannerSweepResult run_planner_sweep(std::size_t planners, bool adaptive,
 
   std::size_t processed = 0;
   for (const auto id : ids) processed += host.stats(id).processed;
-  PlannerSweepResult result;
-  const auto host_view = host.host_stats();
-  result.widenings = host_view.adaptive_widenings;
-  result.narrowings = host_view.adaptive_narrowings;
-  for (const std::size_t limit : host_view.planner_batch_limits) {
-    result.batch_limit_max = std::max(result.batch_limit_max, limit);
-  }
   host.stop();
-  result.aggregate = grads_per_second(start, stop, processed);
-  return result;
+  return grads_per_second(start, stop, processed);
 }
 
 /// Telemetry-overhead scenario (DESIGN.md §11): the aggregation-bound
@@ -574,7 +546,7 @@ int main() {
   double tenant_at1 = 0.0;
   for (const std::size_t models : {1u, 2u, 4u}) {
     const auto result =
-        run_multitenant(models, /*shards=*/2, /*serialize_folds=*/false, total);
+        run_multitenant(models, /*shards=*/2, total);
     if (models == 1) tenant_at1 = result.aggregate;
     bench::row({"models x" + std::to_string(models),
                 bench::fmt(result.aggregate, 1) + " grads/s aggregate, " +
@@ -591,18 +563,13 @@ int main() {
   }
 
   // Concurrent fold scheduling sweep (DESIGN.md §9): tenants x shards with
-  // the shared scheduler overlapping sessions' folds, against the
-  // serialized-plan baseline (the pre-scheduler behavior) at the widest
-  // configuration. Occupancy > shards means cross-session overlap
-  // actually happened on this hardware.
+  // the shared scheduler overlapping sessions' folds. Occupancy > shards
+  // means cross-session overlap actually happened on this hardware.
   bench::header("Concurrent fold scheduling (K=1, " + std::to_string(total) +
                 " gradients/config, {1,2,4} models x {1,4} shards)");
-  double concurrent_4m4s = 0.0;
   for (const std::size_t models : {1u, 2u, 4u}) {
     for (const std::size_t shards : {1u, 4u}) {
-      const auto result =
-          run_multitenant(models, shards, /*serialize_folds=*/false, total);
-      if (models == 4 && shards == 4) concurrent_4m4s = result.aggregate;
+      const auto result = run_multitenant(models, shards, total);
       const std::string key = "concurrent_models_" + std::to_string(models) +
                               "_shards_" + std::to_string(shards);
       bench::row({"models x" + std::to_string(models) + " shards x" +
@@ -617,64 +584,27 @@ int main() {
       report.metric(key + "_fold_tasks", result.fold_tasks);
     }
   }
-  const auto serialized =
-      run_multitenant(4, /*shards=*/4, /*serialize_folds=*/true, total);
-  bench::row({"models x4 shards x4 serialized (baseline)",
-              bench::fmt(serialized.aggregate, 1) + " grads/s aggregate  (" +
-                  bench::fmt(concurrent_4m4s / serialized.aggregate, 2) +
-                  "x -> concurrent)"});
-  report.metric("serialized_models_4_shards_4_grads_per_s",
-                serialized.aggregate);
-  report.metric("concurrent_vs_serialized_4m4s",
-                concurrent_4m4s / serialized.aggregate);
 
-  // Planner control-plane sweep (DESIGN.md §13): folds inline on the
-  // planners (shards = 1), 8 tenants, 4 producers — planner threads are
+  // Planner control-plane sweep (DESIGN.md §13): folds on the planners
+  // themselves (shards = 1), 8 tenants, 4 producers — planner threads are
   // the bottleneck, so added planners should carry added throughput on
   // multi-core hosts (CI gates planner_scaling_2v1 >= 1.0 when hw >= 2).
-  bench::header("Planner scaling (K=1, 8 tenants, folds inline, " +
+  bench::header("Planner scaling (K=1, 8 tenants, folds on planners, " +
                 std::to_string(total) + " gradients/config)");
   double planner_at1 = 0.0;
   double planner_at2 = 0.0;
   for (const std::size_t planners : {1u, 2u, 4u}) {
-    const auto result = run_planner_sweep(planners, /*adaptive=*/false, total);
-    if (planners == 1) planner_at1 = result.aggregate;
-    if (planners == 2) planner_at2 = result.aggregate;
+    const double rate = run_planner_sweep(planners, total);
+    if (planners == 1) planner_at1 = rate;
+    if (planners == 2) planner_at2 = rate;
     bench::row({"planners x" + std::to_string(planners),
-                bench::fmt(result.aggregate, 1) + " grads/s aggregate  (" +
-                    bench::fmt(planners == 1 ? 1.0
-                                             : result.aggregate / planner_at1,
-                               2) +
+                bench::fmt(rate, 1) + " grads/s aggregate  (" +
+                    bench::fmt(planners == 1 ? 1.0 : rate / planner_at1, 2) +
                     "x single-planner)"});
     report.metric("planner_" + std::to_string(planners) + "_grads_per_s",
-                  result.aggregate);
+                  rate);
   }
   report.metric("planner_scaling_2v1", planner_at2 / planner_at1);
-
-  // Adaptive drain batching vs the pinned-batch baseline at 2 planners:
-  // same pressure, the controller free to widen/narrow each planner's
-  // limit from its own occupancy counters.
-  bench::header("Adaptive drain batching (2 planners, pinned vs adaptive)");
-  const auto adaptive_result =
-      run_planner_sweep(/*planners=*/2, /*adaptive=*/true, total);
-  const double adaptive_ratio =
-      planner_at2 > 0.0 ? adaptive_result.aggregate / planner_at2 : 0.0;
-  bench::row({"pinned batch (64)", bench::fmt(planner_at2, 1) + " grads/s"});
-  bench::row({"adaptive batch",
-              bench::fmt(adaptive_result.aggregate, 1) + " grads/s  (" +
-                  bench::fmt(adaptive_ratio, 2) + "x pinned), " +
-                  std::to_string(adaptive_result.widenings) + " widenings, " +
-                  std::to_string(adaptive_result.narrowings) +
-                  " narrowings, widest final limit " +
-                  std::to_string(adaptive_result.batch_limit_max)});
-  report.metric("adaptive_batch_pinned_grads_per_s", planner_at2);
-  report.metric("adaptive_batch_adaptive_grads_per_s",
-                adaptive_result.aggregate);
-  report.metric("adaptive_batch_ratio", adaptive_ratio);
-  report.metric("adaptive_batch_widenings", adaptive_result.widenings);
-  report.metric("adaptive_batch_narrowings", adaptive_result.narrowings);
-  report.metric("adaptive_batch_final_limit_max",
-                adaptive_result.batch_limit_max);
 
   // Scratch-arena high-water mark across the whole run: with the slab
   // arenas warmed up this is flat across PRs unless a hot loop started

@@ -5,10 +5,9 @@
 // (trace.json, loadable in Perfetto / chrome://tracing to see the
 // submit -> dequeue -> fold -> publish lifecycle of every gradient) —
 // and print a latency breakdown table from the same histograms, plus the
-// planner control-plane view (drain batch sizes, adaptive batch limits,
-// batch occupancy against those limits) and the host health/degradation
-// view (per-planner progress, degraded sessions, shed/quarantine/restart
-// counters, DESIGN.md §14).
+// planner control-plane view (drain batch sizes) and the host
+// health/degradation view (per-planner progress, degraded sessions,
+// shed/quarantine/restart counters, DESIGN.md §14).
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -54,8 +53,8 @@ void latency_row(const telemetry::MetricsSnapshot& snapshot,
             << hist->quantile(0.99) / 1e3 << "\n";
 }
 
-/// Row for count/percent-valued histograms (drain batch sizes, planner
-/// occupancy): same columns as latency_row but without the ns -> us scale.
+/// Row for count-valued histograms (drain batch sizes): same columns as
+/// latency_row but without the ns -> us scale.
 void value_row(const telemetry::MetricsSnapshot& snapshot,
                const std::string& name) {
   const telemetry::HistogramSnapshot* hist = snapshot.histogram(name);
@@ -72,16 +71,12 @@ void value_row(const telemetry::MetricsSnapshot& snapshot,
 int main(int argc, char** argv) {
   const std::size_t rounds = argc > 1 ? std::stoul(argv[1]) : 6;
 
-  // Two tenants on one concurrent host — one planner per tenant with
-  // adaptive drain batching, so the planner occupancy and batch-limit
-  // histograms below have something to show — telemetry on.
+  // Two tenants on one concurrent host — one planner per tenant —
+  // telemetry on.
   runtime::RuntimeConfig runtime_cfg;
   runtime_cfg.aggregation_shards = 2;
   runtime_cfg.planner_threads = 2;
   runtime_cfg.max_drain_batch = 16;
-  runtime_cfg.adaptive_batch.enabled = true;
-  runtime_cfg.adaptive_batch.min_batch = 4;
-  runtime_cfg.adaptive_batch.max_batch = 64;
   runtime_cfg.telemetry.enabled = true;
   runtime::ConcurrentFleetServer host(runtime_cfg);
 
@@ -155,13 +150,11 @@ int main(int argc, char** argv) {
   latency_row(snapshot, "server.publish_ns");
   latency_row(snapshot, "pool.task_ns");
 
-  std::cout << "\nplanner control plane (counts / percent)\n  " << std::left
+  std::cout << "\nplanner control plane (counts)\n  " << std::left
             << std::setw(26) << "histogram" << std::right << std::setw(8)
             << "count" << std::setw(12) << "mean" << std::setw(12) << "p50"
             << std::setw(12) << "p99" << "\n";
   value_row(snapshot, "server.drain_batch");
-  value_row(snapshot, "planner.batch_limit");
-  value_row(snapshot, "planner.occupancy_pct");
 
   // Health / degradation view (DESIGN.md §14): is every planner making
   // progress, did any session quarantine a fold task, and what has the

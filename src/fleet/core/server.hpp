@@ -72,12 +72,13 @@ struct GradientReceipt {
 /// simulation serializes handler calls, like the HTTP server serializes
 /// stream handling in the original implementation. For real hardware
 /// parallelism, `runtime::ConcurrentFleetServer` wraps the same components
-/// behind a thread-safe facade (DESIGN.md §6); its `RuntimeConfig`
-/// additionally shards the fold arithmetic itself across parameter spans
-/// (`aggregation_shards`) and batches queue drains (`max_drain_batch`)
-/// while this serial path remains the semantic reference — every
-/// configuration of the concurrent server is bitwise equivalent to
-/// replaying the same submission sequence through handle_gradient().
+/// behind a thread-safe facade (DESIGN.md §6). It always plans each
+/// gradient centrally and folds the plan span by span on its fold pool
+/// (`aggregation_shards` spans, `max_drain_batch` jobs per drain), so
+/// this class is the one sequential implementation of AdaSGD and its
+/// semantic reference: every configuration of the concurrent server is
+/// bitwise equivalent to replaying each session's admitted sequence
+/// through handle_gradient().
 class FleetServer {
  public:
   FleetServer(nn::TrainableModel& model,

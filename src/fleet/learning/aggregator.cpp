@@ -167,6 +167,13 @@ std::span<const float> AsyncAggregator::flush_span(std::size_t begin,
   if (begin > end || end > parameter_count_) {
     throw std::invalid_argument("AsyncAggregator::flush_span: bad span");
   }
+  if (begin == 0 && end == parameter_count_) {
+    // The span is the whole arena, so no other span's task can touch
+    // either buffer: swap them as flush() does instead of copying.
+    accumulator_.swap(flushed_);
+    std::fill(accumulator_.begin(), accumulator_.end(), 0.0f);
+    return std::span<const float>(flushed_);
+  }
   std::copy(accumulator_.begin() + static_cast<std::ptrdiff_t>(begin),
             accumulator_.begin() + static_cast<std::ptrdiff_t>(end),
             flushed_.begin() + static_cast<std::ptrdiff_t>(begin));

@@ -121,6 +121,7 @@ class AsyncAggregator {
   /// and zero it, returning a view of the flushed slice (valid until the
   /// next fold/flush of that span). Bitwise identical to the swap-based
   /// flush() — a copy preserves every bit — but leaves other spans alone.
+  /// A span covering the whole arena swaps the buffers like flush().
   /// Round bookkeeping (pending reset) already happened in plan_submit();
   /// same locking contract as fold_into().
   std::span<const float> flush_span(std::size_t begin, std::size_t end);

@@ -24,9 +24,7 @@ std::size_t validate_planner_count(std::size_t planners) {
 ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
     : trace_capacity_(runtime.trace_capacity),
       max_drain_batch_(runtime.max_drain_batch),
-      serialize_folds_(runtime.serialize_folds),
       planner_count_(validate_planner_count(runtime.planner_threads)),
-      adaptive_(runtime.adaptive_batch),
       policy_(runtime.overload_policy),
       fault_(runtime.fault_injector),
       wire_decoder_(runtime.wire_limits),
@@ -56,10 +54,6 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
         "server.session_fold_ns", telemetry::latency_bounds_ns());
     publish_ns_ = telemetry_->metrics().histogram(
         "server.publish_ns", telemetry::latency_bounds_ns());
-    batch_limit_ = telemetry_->metrics().histogram("planner.batch_limit",
-                                                   telemetry::batch_bounds());
-    planner_occupancy_ = telemetry_->metrics().histogram(
-        "planner.occupancy_pct", telemetry::occupancy_bounds());
     queue_depth_gauge_ = telemetry_->metrics().gauge("queue.depth");
     // Registered unconditionally (not only when a shed policy or injector
     // is configured): a zero-valued counter still exports, so dashboards
@@ -72,8 +66,7 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
   // fold worker, co-placed per NUMA node, from sysfs discovery or the
   // explicit override. Computed only when pinning was requested — an
   // unpinned host never reads sysfs.
-  const std::size_t fold_workers =
-      runtime.aggregation_shards > 1 ? runtime.aggregation_shards - 1 : 0;
+  const std::size_t fold_workers = runtime.aggregation_shards - 1;
   PlacementPlan plan;
   plan.planner_cpus.assign(planner_count_, -1);
   plan.fold_worker_cpus.assign(fold_workers, -1);
@@ -91,19 +84,9 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
       plan = plan_placement(discover_topology(), planner_count_, fold_workers);
     }
   }
-  if (runtime.aggregation_shards > 1) {
-    sharded_ = std::make_unique<ShardedAggregator>(runtime.aggregation_shards,
-                                                   plan.fold_worker_cpus,
-                                                   telemetry_.get(), fault_);
-  }
-  // One adaptive controller per planner. The starting limit is the pinned
-  // max_drain_batch (clamped into the adaptive range); 0 (= "take
-  // everything") starts at the adaptive ceiling.
-  const std::size_t initial_limit =
-      max_drain_batch_ > 0 ? max_drain_batch_ : adaptive_.max_batch;
-  for (std::size_t p = 0; p < planner_count_; ++p) {
-    batchers_.emplace_back(adaptive_, initial_limit);
-  }
+  sharded_ = std::make_unique<ShardedAggregator>(runtime.aggregation_shards,
+                                                 plan.fold_worker_cpus,
+                                                 telemetry_.get(), fault_);
   // Progress ticks sized before any planner thread exists — the threads
   // write their own entry from their first batch on.
   for (std::size_t p = 0; p < planner_count_; ++p) {
@@ -126,7 +109,7 @@ ConcurrentFleetServer::ConcurrentFleetServer(const RuntimeConfig& runtime)
     for (std::size_t w = 0; w < fold_workers; ++w) {
       if (plan.fold_worker_cpus[w] >= 0) ++requested_pins;
     }
-    applied_pins += sharded_ != nullptr ? sharded_->pinned_workers() : 0;
+    applied_pins += sharded_->pinned_workers();
     const bool applied = requested_pins > 0 && applied_pins == requested_pins;
     pinning_applied_.store(applied, std::memory_order_release);
     if (!applied) {
@@ -165,7 +148,7 @@ core::ModelId ConcurrentFleetServer::register_model(
   // span partition here, for the host pool's shard count.
   registry_.add(std::make_shared<ModelSession>(
       id, model, std::move(profiler), config, trace_capacity_,
-      sharded_ != nullptr ? sharded_->shard_count() : 1, telemetry_.get()));
+      sharded_->shard_count(), telemetry_.get()));
   return id;
 }
 
@@ -349,10 +332,9 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
   // every other planner's (id % planner_count_ routing, enforced by the
   // queue's group demux), so the slot pool needs no sharing or locking.
   std::deque<SessionSlot> slot_pool;
-  AdaptiveBatcher& batcher = batchers_[planner];
-  // Telemetry scratch: per-slot fold-submit timestamps (sharded path).
-  // Sized lazily to the slot pool; lives outside the loop so a steady-state
-  // batch allocates nothing.
+  // Telemetry scratch: per-slot fold-submit timestamps. Sized lazily to
+  // the slot pool; lives outside the loop so a steady-state batch
+  // allocates nothing.
   std::vector<std::uint64_t> fold_submit_ns;
   const auto emit_instant = [&](telemetry::TracePhase phase,
                                 std::uint64_t ticket, core::ModelId model) {
@@ -361,23 +343,6 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
     ev.ticket = ticket;
     ev.model = model;
     ev.phase = phase;
-    telemetry_->tracer().emit(ev);
-  };
-  // Span of one session's fold, submit -> latch resolution. Called exactly
-  // once per non-empty plan, at the wait that actually resolved it.
-  const auto note_session_fold = [&](std::size_t i) {
-    if (telemetry_ == nullptr) return;
-    SessionSlot& slot = slot_pool[i];
-    if (slot.plan.empty()) return;
-    const std::uint64_t now = telemetry_->now_ns();
-    const std::uint64_t dur = now - fold_submit_ns[i];
-    session_fold_ns_->record(static_cast<double>(dur));
-    telemetry::TraceEvent ev;
-    ev.ts_ns = fold_submit_ns[i];
-    ev.a = dur;
-    ev.b = slot.plan.size();
-    ev.model = slot.session->id();
-    ev.phase = telemetry::TracePhase::kSessionFold;
     telemetry_->tracer().emit(ev);
   };
   // Per-batch demultiplexed state: one slot per session that appears in
@@ -421,11 +386,8 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
         return !paused_.load(std::memory_order_acquire) || queue_.closed();
       });
     }
-    // Adaptive mode consults the controller's current limit; otherwise the
-    // pinned max_drain_batch schedule (the benchmarking baseline).
-    const std::size_t limit =
-        adaptive_.enabled ? batcher.limit() : max_drain_batch_;
-    const std::size_t taken = queue_.wait_drain(batch, limit, planner);
+    const std::size_t taken =
+        queue_.wait_drain(batch, max_drain_batch_, planner);
     if (taken == 0) break;  // closed and fully drained
     // Second gate: a pause() issued while this thread was blocked inside
     // wait_drain (past the top gate) must still hold the popped batch
@@ -445,114 +407,80 @@ void ConcurrentFleetServer::planner_loop(std::size_t planner) {
       const std::uint64_t spins = configured > 0 ? configured : 1000;
       for (std::uint64_t i = 0; i < spins; ++i) std::this_thread::yield();
     }
-    // Feed the controller the counters it owns — batch occupancy and the
-    // group's windowed depth peak — and nothing else: no telemetry clock
-    // is ever read on this path, so the drain schedule is identical with
-    // telemetry on or off (§11 invariant, checked bitwise by the matrix).
-    if (adaptive_.enabled) {
-      batcher.observe(taken, queue_.take_group_depth_peak(planner));
-    }
     const std::uint64_t batch_t0 =
         telemetry_ != nullptr ? telemetry_->now_ns() : 0;
     if (telemetry_ != nullptr) {
       drain_batch_->record(static_cast<double>(taken));
-      if (limit > 0) {
-        batch_limit_->record(static_cast<double>(limit));
-        planner_occupancy_->record(100.0 * static_cast<double>(taken) /
-                                   static_cast<double>(limit));
-      }
       // Depth right after the pop: what is still waiting behind this batch.
       queue_depth_gauge_->set(queue_.depth());
     }
-    // Demultiplex the batch in global admission-ticket order. Each job's
-    // order-sensitive bookkeeping runs against its own session as it is
-    // reached, so per session the processing order is exactly the
+    // Demultiplex the batch in global admission-ticket order and plan
+    // every job centrally against its own session (staleness against the
+    // session's live clock, dampened weight, flush points, profiler
+    // feedback), so per session the processing order is exactly the
     // session's own admission order — what a solo server would see.
     // Retired ids miss the registry lookup and are dropped, counted, and
-    // never folded (their drain accounting rides on `taken`).
-    if (sharded_ != nullptr) {
-      // Concurrent fold scheduling (DESIGN.md §9): plan every job
-      // centrally (staleness against its session's live clock, dampened
-      // weight, flush points, profiler feedback), then submit ALL
-      // sessions' plans to the shared fold scheduler at once — different
-      // sessions' spans execute concurrently, since their arenas are
-      // disjoint — and wait once for the whole batch. Plans' gradient
-      // spans point into `batch`, which stays alive until the next drain.
-      for (GradientJob& job : batch) {
-        SessionSlot* slot = slot_for(job.model_id);
-        if (slot == nullptr) {
-          retired_drops_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_ != nullptr) {
-            emit_instant(telemetry::TracePhase::kDrop, job.ticket,
-                         job.model_id);
-          }
-          continue;
+    // never folded (their drain accounting rides on `taken`). Plans'
+    // gradient spans point into `batch`, which stays alive until the next
+    // drain.
+    for (GradientJob& job : batch) {
+      SessionSlot* slot = slot_for(job.model_id);
+      if (slot == nullptr) {
+        retired_drops_.fetch_add(1, std::memory_order_relaxed);
+        if (telemetry_ != nullptr) {
+          emit_instant(telemetry::TracePhase::kDrop, job.ticket, job.model_id);
         }
-        const std::size_t plan_capacity = slot->plan.capacity();
-        const bool folded = slot->session->plan_process(job, slot->plan);
-        if (slot->plan.capacity() != plan_capacity) {
-          fold_buffer_growths_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (telemetry_ != nullptr && folded) {
-          emit_instant(telemetry::TracePhase::kFold, job.ticket, job.model_id);
-        }
+        continue;
       }
-      if (telemetry_ != nullptr && fold_submit_ns.size() < slot_pool.size()) {
-        fold_submit_ns.resize(slot_pool.size());
+      const std::size_t plan_capacity = slot->plan.capacity();
+      const bool folded = slot->session->plan_process(job, slot->plan);
+      if (slot->plan.capacity() != plan_capacity) {
+        fold_buffer_growths_.fetch_add(1, std::memory_order_relaxed);
       }
-      for (std::size_t i = 0; i < used; ++i) {
-        SessionSlot& slot = slot_pool[i];
-        if (slot.plan.empty()) continue;
-        if (telemetry_ != nullptr) fold_submit_ns[i] = telemetry_->now_ns();
-        sharded_->submit(slot.session->fold_context(), slot.plan, slot.latch);
-        if (serialize_folds_) {
-          sharded_->wait(slot.latch);
-          note_session_fold(i);
-        }
+      if (telemetry_ != nullptr && folded) {
+        emit_instant(telemetry::TracePhase::kFold, job.ticket, job.model_id);
       }
-      // One wait per batch; waiting in slot order is work-conserving (the
-      // waiter executes queued tasks — any session's, any planner's —
-      // while it waits).
-      for (std::size_t i = 0; i < used; ++i) {
-        sharded_->wait(slot_pool[i].latch);
-        if (!serialize_folds_) note_session_fold(i);
-        // Fold quarantine (DESIGN.md §14): a span task of this session's
-        // plan threw — the pool caught it and resolved the latch anyway,
-        // so only this session degrades (its arena may hold a partial
-        // fold); every other session's batch, and the host, are unharmed.
-        const std::size_t failures = slot_pool[i].latch.take_failures();
-        if (failures > 0) {
-          fold_quarantines_.fetch_add(failures, std::memory_order_relaxed);
-          if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(failures);
-          slot_pool[i].session->mark_degraded();
-        }
+    }
+    // Concurrent fold scheduling (DESIGN.md §9): submit ALL sessions'
+    // plans to the shared fold scheduler at once — different sessions'
+    // spans execute concurrently, since their arenas are disjoint — then
+    // wait once per batch, in slot order. Waiting is work-conserving (the
+    // waiter executes queued tasks, any session's, any planner's), and a
+    // workerless pool has already run each plan inside submit().
+    if (telemetry_ != nullptr && fold_submit_ns.size() < slot_pool.size()) {
+      fold_submit_ns.resize(slot_pool.size());
+    }
+    for (std::size_t i = 0; i < used; ++i) {
+      SessionSlot& slot = slot_pool[i];
+      if (slot.plan.empty()) continue;
+      if (telemetry_ != nullptr) fold_submit_ns[i] = telemetry_->now_ns();
+      sharded_->submit(slot.session->fold_context(), slot.plan, slot.latch);
+    }
+    for (std::size_t i = 0; i < used; ++i) {
+      SessionSlot& slot = slot_pool[i];
+      sharded_->wait(slot.latch);
+      if (telemetry_ != nullptr && !slot.plan.empty()) {
+        // Span of one session's fold, submit -> latch resolution.
+        const std::uint64_t now = telemetry_->now_ns();
+        const std::uint64_t dur = now - fold_submit_ns[i];
+        session_fold_ns_->record(static_cast<double>(dur));
+        telemetry::TraceEvent ev;
+        ev.ts_ns = fold_submit_ns[i];
+        ev.a = dur;
+        ev.b = slot.plan.size();
+        ev.model = slot.session->id();
+        ev.phase = telemetry::TracePhase::kSessionFold;
+        telemetry_->tracer().emit(ev);
       }
-    } else {
-      for (GradientJob& job : batch) {
-        SessionSlot* slot = slot_for(job.model_id);
-        if (slot == nullptr) {
-          retired_drops_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_ != nullptr) {
-            emit_instant(telemetry::TracePhase::kDrop, job.ticket,
-                         job.model_id);
-          }
-          continue;
-        }
-        const std::uint64_t ticket = job.ticket;
-        const core::ModelId model_id = job.model_id;
-        bool folded = false;
-        try {
-          folded = slot->session->process(std::move(job));
-        } catch (...) {
-          // Same quarantine contract as the sharded path: one throwing
-          // fold degrades its own session, never the planner thread.
-          fold_quarantines_.fetch_add(1, std::memory_order_relaxed);
-          if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(1);
-          slot->session->mark_degraded();
-        }
-        if (telemetry_ != nullptr && folded) {
-          emit_instant(telemetry::TracePhase::kFold, ticket, model_id);
-        }
+      // Fold quarantine (DESIGN.md §14): a span task of this session's
+      // plan threw — the pool caught it and resolved the latch anyway, so
+      // only this session degrades (its arena may hold a partial fold);
+      // every other session's batch, and the host, are unharmed.
+      const std::size_t failures = slot.latch.take_failures();
+      if (failures > 0) {
+        fold_quarantines_.fetch_add(failures, std::memory_order_relaxed);
+        if (quarantine_ctr_ != nullptr) quarantine_ctr_->add(failures);
+        slot.session->mark_degraded();
       }
     }
     // One snapshot materialization per dirty session per drain batch,
@@ -657,20 +585,9 @@ RuntimeStats ConcurrentFleetServer::host_stats() const {
       tensor::kernels::ScratchAllocator::global_bytes_peak();
   snapshot.planner_threads = planner_count_;
   snapshot.pinning_applied = pinning_applied_.load(std::memory_order_acquire);
-  if (adaptive_.enabled) {
-    snapshot.planner_batch_limits.reserve(batchers_.size());
-    for (const AdaptiveBatcher& batcher : batchers_) {
-      const AdaptiveBatcher::Stats adaptive = batcher.stats();
-      snapshot.planner_batch_limits.push_back(adaptive.limit);
-      snapshot.adaptive_widenings += adaptive.widenings;
-      snapshot.adaptive_narrowings += adaptive.narrowings;
-    }
-  }
-  if (sharded_ != nullptr) {
-    const auto pool = sharded_->pool_stats();
-    snapshot.fold_tasks_executed = pool.tasks_executed;
-    snapshot.fold_peak_pending = pool.peak_pending;
-  }
+  const auto pool = sharded_->pool_stats();
+  snapshot.fold_tasks_executed = pool.tasks_executed;
+  snapshot.fold_peak_pending = pool.peak_pending;
   if (const telemetry::Histogram* wait = queue_.wait_histogram()) {
     snapshot.queue_wait = wait->snapshot();
   }
@@ -726,9 +643,6 @@ RuntimeStats ConcurrentFleetServer::stats(core::ModelId id) const {
   snapshot.queue_wait = host.queue_wait;
   snapshot.planner_threads = host.planner_threads;
   snapshot.pinning_applied = host.pinning_applied;
-  snapshot.planner_batch_limits = host.planner_batch_limits;
-  snapshot.adaptive_widenings = host.adaptive_widenings;
-  snapshot.adaptive_narrowings = host.adaptive_narrowings;
   snapshot.shed_drops = host.shed_drops;
   snapshot.fold_quarantines = host.fold_quarantines;
   snapshot.degraded_sessions = host.degraded_sessions;

@@ -10,7 +10,6 @@
 
 #include "fleet/core/server.hpp"
 #include "fleet/net/wire.hpp"
-#include "fleet/runtime/adaptive_batcher.hpp"
 #include "fleet/runtime/fault.hpp"
 #include "fleet/runtime/gradient_queue.hpp"
 #include "fleet/runtime/model_registry.hpp"
@@ -41,13 +40,6 @@ struct RuntimeConfig {
   /// own jobs — any planner count yields bitwise identical per-session
   /// results (the determinism matrix asserts {1,2,4}).
   std::size_t planner_threads = 1;
-  /// Pressure-adaptive drain batching (DESIGN.md §13). Disabled by
-  /// default: planners then drain with the pinned `max_drain_batch`
-  /// schedule (the serialize_folds-style benchmarking baseline). When
-  /// enabled, each planner owns an AdaptiveBatcher that widens/narrows
-  /// its drain limit from counters it owns — windowed group-depth peaks
-  /// and batch occupancy, never the §11 telemetry clocks.
-  AdaptiveBatchConfig adaptive_batch;
   /// Explicit control-plane CPU placement, overriding sysfs topology
   /// discovery when `pin_fold_workers` is set: entry i is the CPU for
   /// planner i, followed by one entry per fold worker; -1 (or a missing
@@ -62,14 +54,16 @@ struct RuntimeConfig {
   /// Start with the planner threads parked (resume() arms them). Lets
   /// tests and benches stage a backlog deterministically.
   bool start_paused = false;
-  /// Fold threads for the sharded hierarchical aggregation (DESIGN.md
+  /// Fold lanes for the sharded hierarchical aggregation (DESIGN.md
   /// §6/§9): each session's parameter arena is split into this many
   /// contiguous spans and a drain batch's weighted folds fan out across
   /// the shared fold scheduler — different sessions' spans concurrently,
-  /// one latch per session. 1 keeps the fold inline on the aggregation
-  /// thread (the PR-2 sequential path). Any value yields a bitwise
-  /// identical model per session — weights are computed centrally and
-  /// every parameter index sees the same operation sequence.
+  /// one latch per session. The pool runs `aggregation_shards - 1` worker
+  /// threads; at 1 it has none and each planner folds its own plans on
+  /// its own thread, through the same plan/fold/publish path. Any value
+  /// yields a bitwise identical model per session — weights are computed
+  /// centrally and every parameter index sees the same operation
+  /// sequence.
   std::size_t aggregation_shards = 1;
   /// Best-effort pin the control plane — planner threads AND fold
   /// workers — per the NUMA placement plan (topology.hpp: sysfs
@@ -80,18 +74,11 @@ struct RuntimeConfig {
   /// pin logs one warning and bumps the "server.pinning_fallback"
   /// telemetry counter. No effect on results, only on locality.
   bool pin_fold_workers = false;
-  /// Debug/baseline knob: wait for each session's fold to finish before
-  /// submitting the next session's plan — the pre-scheduler serialized
-  /// behavior. Results are bitwise identical either way (sessions are
-  /// disjoint); the bench uses this as the comparison baseline.
-  bool serialize_folds = false;
   /// Cap on how many jobs one queue drain hands a planner (0 = take
   /// everything). Batches are exact admission-order prefixes
   /// (ticket-ordered) per planner group, so batching changes snapshot-
   /// publication cadence and fold fan-out granularity, never any session's
-  /// fold sequence or staleness. When `adaptive_batch.enabled`, this is
-  /// only each planner's starting limit (clamped into the adaptive
-  /// range); the controller moves it from there.
+  /// fold sequence or staleness.
   std::size_t max_drain_batch = 0;
   /// Arithmetic kernel backend for the process (tensor/kernels/,
   /// DESIGN.md §10). kAuto keeps the startup selection (FLEET_KERNEL env
@@ -376,7 +363,7 @@ class ConcurrentFleetServer {
   /// (RuntimeStats::fold_buffer_growths counts the warm-up growths).
   struct SessionSlot {
     std::shared_ptr<ModelSession> session;
-    std::vector<FoldOp> plan;  // sharded path only
+    std::vector<FoldOp> plan;
     FoldLatch latch;           // armed per batch by the fold scheduler
   };
 
@@ -388,11 +375,8 @@ class ConcurrentFleetServer {
 
   std::size_t trace_capacity_;
   std::size_t max_drain_batch_;
-  bool serialize_folds_;
   /// Validated planner count (>= 1); also the queue's group count.
   std::size_t planner_count_;
-  /// Adaptive drain-batching knobs (enabled flag consulted per drain).
-  AdaptiveBatchConfig adaptive_;
   /// Overload policy the shared queue runs (also consulted on the submit
   /// path: shed policies stamp every admitted job's shed_cost). Declared
   /// before queue_, which is constructed from it.
@@ -415,20 +399,15 @@ class ConcurrentFleetServer {
   telemetry::Histogram* drain_batch_ = nullptr;    ///< "server.drain_batch"
   telemetry::Histogram* session_fold_ns_ = nullptr;  ///< "server.session_fold_ns"
   telemetry::Histogram* publish_ns_ = nullptr;     ///< "server.publish_ns"
-  telemetry::Histogram* batch_limit_ = nullptr;    ///< "planner.batch_limit"
-  telemetry::Histogram* planner_occupancy_ = nullptr;  ///< "planner.occupancy_pct"
   telemetry::Gauge* queue_depth_gauge_ = nullptr;  ///< "queue.depth"
   telemetry::Counter* shed_ctr_ = nullptr;         ///< "queue.shed"
   telemetry::Counter* quarantine_ctr_ = nullptr;   ///< "server.fold_quarantines"
   GradientQueue queue_;
-  /// Present when aggregation_shards > 1; the shared fold scheduler — all
-  /// sessions' plans of a drain batch run on it concurrently, across
-  /// planners too (submit/wait are multi-coordinator safe).
+  /// The shared fold scheduler: all sessions' plans of a drain batch run
+  /// on it concurrently, across planners too (submit/wait are
+  /// multi-coordinator safe). With aggregation_shards = 1 it has no
+  /// workers and runs each plan on the submitting planner.
   std::unique_ptr<ShardedAggregator> sharded_;
-  /// One adaptive controller per planner, owned by that planner's drain
-  /// loop; stats readers only touch its relaxed-atomic published fields.
-  /// Deque: AdaptiveBatcher holds atomics and must not move.
-  std::deque<AdaptiveBatcher> batchers_;
   /// Hot-path allocation events (slot-pool or plan-buffer growth); see
   /// RuntimeStats::fold_buffer_growths.
   std::atomic<std::size_t> fold_buffer_growths_{0};

@@ -131,8 +131,7 @@ GradientQueue::PushOutcome GradientQueue::push_to_shard(
   // In the shed-swap case the group's net size is unchanged (the victim
   // and the incoming job live in the same shard, hence the same group), so
   // the group counter is only reserved on the plain-insert path.
-  const std::size_t gdepth =
-      shed ? 0 : gs.size.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (!shed) gs.size.fetch_add(1, std::memory_order_acq_rel);
   const std::size_t group_shards = gs.shard_end - gs.shard_begin;
   Shard& shard = *shards_[gs.shard_begin + group_offset % group_shards];
   std::uint64_t ticket = 0;
@@ -195,21 +194,13 @@ GradientQueue::PushOutcome GradientQueue::push_to_shard(
   // depth may be a transient over-count when a concurrent reserver is
   // about to bounce off the bound, but it never exceeds capacity and a
   // real burst reaches the same mark anyway. A shed swap leaves the net
-  // depth unchanged, so it never raises either mark.
+  // depth unchanged, so it never raises the mark.
   if (!shed) {
     std::size_t seen = max_depth_.load(std::memory_order_relaxed);
     while (depth > seen &&
            !max_depth_.compare_exchange_weak(seen, depth,
                                              std::memory_order_acq_rel,
                                              std::memory_order_relaxed)) {
-    }
-    // Windowed group peak for the adaptive batcher — same transient
-    // over-count caveat as the global mark, same reasoning.
-    std::size_t gseen = gs.window_peak.load(std::memory_order_relaxed);
-    while (gdepth > gseen &&
-           !gs.window_peak.compare_exchange_weak(gseen, gdepth,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
     }
   }
   if (telemetry_ != nullptr) {
@@ -386,18 +377,6 @@ std::size_t GradientQueue::wait_drain(std::vector<GradientJob>& out,
       return drain(out, max_batch, group);
     }
   }
-}
-
-std::size_t GradientQueue::take_group_depth_peak(std::size_t group) {
-  GroupState& gs = *groups_[group];
-  // Re-arm the window at the current depth: a standing backlog keeps the
-  // next window's peak at least that deep, while a fully absorbed burst
-  // resets to zero. The max with `current` covers a drain that emptied the
-  // group between the two loads.
-  const std::size_t current = gs.size.load(std::memory_order_acquire);
-  const std::size_t peak =
-      gs.window_peak.exchange(current, std::memory_order_acq_rel);
-  return std::max(peak, current);
 }
 
 std::vector<std::size_t> GradientQueue::shard_depths() const {

@@ -211,14 +211,6 @@ class GradientQueue {
     return max_depth_.load(std::memory_order_acquire);
   }
 
-  /// Windowed counterpart of max_depth_seen() for one group, owned by the
-  /// adaptive drain batcher (DESIGN.md §13): returns the deepest the group
-  /// has been since the previous take and re-arms the window at the
-  /// group's *current* depth — so a standing backlog keeps reading deep
-  /// while an absorbed burst decays immediately, which a monotone
-  /// high-water mark cannot express. Call from the group's consumer.
-  std::size_t take_group_depth_peak(std::size_t group);
-
   /// Per-shard occupancy, one entry per ingest shard. Each shard is read
   /// under its own lock, shard by shard — a monitoring poll never holds
   /// more than one producer lock at a time — so the entries are each exact
@@ -252,7 +244,6 @@ class GradientQueue {
     std::size_t shard_begin = 0;
     std::size_t shard_end = 0;  // exclusive
     std::atomic<std::size_t> size{0};
-    std::atomic<std::size_t> window_peak{0};
     // Consumer wakeup. Producers tap the mutex (empty critical section)
     // before notifying so a sleeping consumer can't miss the signal.
     std::mutex wake_mu;

@@ -43,7 +43,7 @@ ModelSession::ModelSession(core::ModelId id, nn::TrainableModel& model,
 }
 
 void ModelSession::publish_version(std::size_t version) {
-  // Aggregation thread only (plus the constructor, before the session is
+  // Planner thread only (plus the constructor, before the session is
   // registered): one bulk copy out of the parameter arena, then an atomic
   // handle swap that request threads pick up lock-free.
   const auto view = model_.parameters_view();
@@ -133,30 +133,6 @@ const char* ModelSession::validate(const GradientJob& job) const {
   return nullptr;
 }
 
-std::optional<ModelSession::Admitted> ModelSession::screen(
-    const GradientJob& job) {
-  Admitted admitted;
-  admitted.now = version_.load(std::memory_order_relaxed);
-  if (job.task_version > admitted.now) {
-    // A job can only legitimately carry a version it observed from
-    // current(), so a future version is a producer bug; drop it rather
-    // than poisoning the logical clock.
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    ++invalid_jobs_;
-    return std::nullopt;
-  }
-  // tau_i = t - t_i against this session's clock at *processing* time
-  // (Eq. 3) — the shared queue delays the gradient, and the staleness
-  // reflects that delay exactly, same as the serial server's logical
-  // clock. On the sharded path "processing" is planning: the clock
-  // advances as flush points are planned, so later jobs in the same batch
-  // observe every update earlier ones produced — exactly the sequential
-  // schedule. Other sessions' jobs never touch this clock, which is why a
-  // hosted session's staleness matches its solo-server run.
-  admitted.staleness = static_cast<double>(admitted.now - job.task_version);
-  return admitted;
-}
-
 namespace {
 learning::WorkerUpdate update_from(const GradientJob& job, double staleness) {
   learning::WorkerUpdate update;
@@ -197,31 +173,27 @@ void ModelSession::record_processed(const GradientJob& job, double staleness,
   }
 }
 
-bool ModelSession::process(GradientJob&& job) {
-  const auto admitted = screen(job);
-  if (!admitted) return false;
-  const learning::SubmitResult result =
-      aggregator_.submit(update_from(job, admitted->staleness));
-
-  bool updated = false;
-  if (result.aggregate) {
-    model_.apply_gradient(*result.aggregate, config_.learning_rate);
-    // The logical clock advances immediately (staleness must see every
-    // update), but snapshot materialization is batched: the host publishes
-    // once per drain batch via publish_if_dirty(), since versions consumed
-    // mid-batch were never observable to request threads anyway.
-    version_.store(admitted->now + 1, std::memory_order_release);
-    updated = true;
-  }
-  record_processed(job, admitted->staleness, result.weight, updated);
-  return true;
-}
-
 bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
-  const auto admitted = screen(job);
-  if (!admitted) return false;  // dropped jobs never enter the plan
+  const std::size_t now = version_.load(std::memory_order_relaxed);
+  if (job.task_version > now) {
+    // A job can only legitimately carry a version it observed from
+    // current(), so a future version is a producer bug; drop it rather
+    // than poisoning the logical clock. Dropped jobs never enter the plan.
+    std::lock_guard<std::mutex> lock(trace_mu_);
+    ++invalid_jobs_;
+    return false;
+  }
+  // tau_i = t - t_i against this session's clock at *processing* time
+  // (Eq. 3) — the shared queue delays the gradient, and the staleness
+  // reflects that delay exactly, same as the serial server's logical
+  // clock. "Processing" is planning: the clock advances as flush points
+  // are planned, so later jobs in the same batch observe every update
+  // earlier ones produced — exactly the sequential schedule. Other
+  // sessions' jobs never touch this clock, which is why a hosted
+  // session's staleness matches its solo-server run.
+  const double staleness = static_cast<double>(now - job.task_version);
   const learning::PlannedSubmit planned =
-      aggregator_.plan_submit(update_from(job, admitted->staleness));
+      aggregator_.plan_submit(update_from(job, staleness));
 
   FoldOp fold;
   fold.kind = FoldOp::Kind::kFold;
@@ -238,11 +210,12 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
     // The logical clock advances at the planned flush, before the shards
     // run the arithmetic — legal because the version only becomes
     // observable-with-parameters at publication, which waits for the
-    // barrier, while staleness must see every planned update immediately.
-    version_.store(admitted->now + 1, std::memory_order_release);
+    // fold's latch, while staleness must see every planned update
+    // immediately.
+    version_.store(now + 1, std::memory_order_release);
     updated = true;
   }
-  record_processed(job, admitted->staleness, planned.weight, updated);
+  record_processed(job, staleness, planned.weight, updated);
   return true;
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "fleet/core/atomic_shared.hpp"
@@ -44,8 +43,9 @@ struct RuntimeStats {
   /// GradientQueue::max_depth_seen()).
   std::size_t queue_max_depth_seen = 0;
   std::vector<std::size_t> queue_shard_depths;
-  /// Host-wide fold-scheduler occupancy (zero when the host runs the
-  /// sequential shards=1 path; see ShardedAggregator::pool_stats()).
+  /// Host-wide fold-scheduler occupancy: span tasks run and the peak in
+  /// flight at once (see ShardedAggregator::pool_stats()). Every folded
+  /// plan counts, whatever the shard count.
   std::size_t fold_tasks_executed = 0;
   std::size_t fold_peak_pending = 0;
   /// Host-wide count of aggregation-hot-path buffer growths (a demux slot
@@ -82,11 +82,6 @@ struct RuntimeStats {
   /// individual pin was refused (the host then logged one warning and
   /// bumped the "server.pinning_fallback" counter).
   bool pinning_applied = false;
-  /// Adaptive drain batching (empty/zero while the controller is off):
-  /// each planner's current batch limit, and total controller decisions.
-  std::vector<std::size_t> planner_batch_limits;
-  std::size_t adaptive_widenings = 0;
-  std::size_t adaptive_narrowings = 0;
   /// Host-wide: gradients lost to the overload shed policy (DESIGN.md
   /// §14) — refused incoming jobs plus queued victims evicted in their
   /// favor. Zero under the default kRejectNewest policy. Part of the
@@ -115,20 +110,20 @@ struct RuntimeStats {
 /// aggregator, snapshot store, the atomically-published (version, snapshot)
 /// record, the per-task logical clock and the per-task stats traces. A
 /// `ConcurrentFleetServer` hosts many sessions behind one ingest queue and
-/// one aggregation thread; each session's learning semantics are exactly a
-/// solo single-model server's, because every order-sensitive mutation is
-/// keyed to this session's own state and its jobs keep their relative
-/// admission order through the shared queue.
+/// its planner threads; each session's learning semantics are exactly a
+/// solo single-model server's (`core::FleetServer`), because every
+/// order-sensitive mutation is keyed to this session's own state and its
+/// jobs keep their relative admission order through the shared queue.
 ///
 /// Threading model, mirroring the solo server's split:
 ///  - Request path (any thread): handle_request(), current(), version(),
 ///    validate(), stats(). Profiler and controller sit behind fine-grained
 ///    locks; the snapshot is one atomic record copy; similarity reads go
 ///    through the aggregator's internal lock.
-///  - Aggregation path (exactly one thread, the host's): process(),
-///    plan_process(), publish_if_dirty(), fold_context(). The host
-///    guarantees a single caller, which is what preserves AdaSGD's
-///    sequential update semantics per session.
+///  - Aggregation path (exactly one thread: the session's one planner):
+///    plan_process(), publish_if_dirty(), fold_context(). The host routes
+///    every job of a session to the same planner, which is what preserves
+///    AdaSGD's sequential update semantics per session.
 ///
 /// Lifetime: the session references, but does not own, the model — the
 /// registrant must keep the model alive until the session is retired AND
@@ -139,12 +134,12 @@ class ModelSession {
  public:
   /// `fold_shards` is the host's fold-pool shard count: the session caches
   /// its arena's span partition once, here, instead of re-deriving it for
-  /// every drain batch (DESIGN.md §9). 1 (the sequential path) caches the
-  /// single full-arena span. `telemetry` (optional, caller-owned,
-  /// outliving the session) mirrors the session's staleness/weight
-  /// histograms into the host registry as "session.<id>.staleness" /
-  /// "session.<id>.weight" so the exporters see them; the RuntimeStats
-  /// histograms are maintained either way.
+  /// every drain batch (DESIGN.md §9). 1 caches the single full-arena
+  /// span. `telemetry` (optional, caller-owned, outliving the session)
+  /// mirrors the session's staleness/weight histograms into the host
+  /// registry as "session.<id>.staleness" / "session.<id>.weight" so the
+  /// exporters see them; the RuntimeStats histograms are maintained
+  /// either way.
   ModelSession(core::ModelId id, nn::TrainableModel& model,
                std::unique_ptr<profiler::Profiler> profiler,
                const core::ServerConfig& config, std::size_t trace_capacity,
@@ -209,20 +204,17 @@ class ModelSession {
   }
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  // --- aggregation-thread side (single caller: the host's loop) ---------
+  // --- aggregation-thread side (single caller: the session's planner) ---
 
-  /// Sequential fold: screen, dampen, accumulate, maybe update the model
-  /// and advance the clock. Snapshot publication is deferred to
+  /// Plan one job: screen it, compute its staleness and dampened weight,
+  /// advance the clock at a flush point, feed the profiler and record the
+  /// stats — everything order-sensitive — and append the numeric fold to
+  /// `plan` for the shared fold scheduler (ShardedAggregator::submit)
+  /// against fold_context(). Snapshot publication is deferred to
   /// publish_if_dirty() so the host can batch it per drain. Returns false
-  /// when the job was dropped as invalid (so the host's per-gradient fold
-  /// trace events cover exactly the processed gradients).
-  bool process(GradientJob&& job);
-
-  /// Sharded-path counterpart of process(): the same central bookkeeping
-  /// (clock, staleness, weight, profiler feedback, stats) with the numeric
-  /// fold deferred into `plan` for the shared fold scheduler
-  /// (ShardedAggregator::submit) against fold_context(). Returns false
-  /// when the job was dropped as invalid (nothing entered the plan).
+  /// when the job was dropped as invalid (nothing entered the plan, so the
+  /// host's per-gradient fold trace events cover exactly the processed
+  /// gradients).
   bool plan_process(GradientJob& job, std::vector<FoldOp>& plan);
 
   /// The context the shared fold scheduler executes this session's plans
@@ -247,22 +239,13 @@ class ModelSession {
   const core::ModelStore& store() const { return store_; }
   const learning::AsyncAggregator& aggregator() const { return aggregator_; }
   const core::Controller& controller() const { return controller_; }
-  /// The session's model. Owned by the aggregation thread while the host
+  /// The session's model. Owned by its planner thread while the host
   /// runs — only touch it after drain() with producers quiesced, or after
   /// stop()/retirement.
   nn::TrainableModel& model() { return model_; }
 
  private:
-  /// Shared head of process()/plan_process(): the future-version screen
-  /// and exact staleness against this session's clock at processing time.
-  /// nullopt means the job was dropped (and counted as invalid).
-  struct Admitted {
-    std::size_t now = 0;
-    double staleness = 0.0;
-  };
-  std::optional<Admitted> screen(const GradientJob& job);
-  /// Shared tail of process()/plan_process(): profiler feedback and the
-  /// per-job stats/trace bookkeeping.
+  /// Profiler feedback and the per-job stats/trace bookkeeping.
   void record_processed(const GradientJob& job, double staleness,
                         double weight, bool updated);
   void publish_version(std::size_t version);
@@ -283,7 +266,7 @@ class ModelSession {
   /// Sticky fold-quarantine flag (see mark_degraded()).
   std::atomic<bool> degraded_{false};
   core::AtomicSharedPtr<const VersionedSnapshot> current_;
-  /// Aggregation thread only: the version publish_if_dirty() last wrote.
+  /// Planner thread only: the version publish_if_dirty() last wrote.
   std::size_t published_version_ = 0;
 
   // Fine-grained locks for the order-insensitive-but-racy components.

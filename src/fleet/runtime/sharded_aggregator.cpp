@@ -104,6 +104,11 @@ bool ShardedAggregator::run_one(std::size_t lane) {
     tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(pick));
     ++active_;
   }
+  finish(task);
+  return true;
+}
+
+void ShardedAggregator::finish(const FoldTask& task) {
   // A task that throws — an armed kFoldTask injection or a real defect in
   // the fold arithmetic — must never escape onto a pool lane: on a worker
   // thread it would std::terminate the process, and an unresolved latch
@@ -151,7 +156,15 @@ bool ShardedAggregator::run_one(std::size_t lane) {
         task.latch->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1;
   }
   if (resolved) done_cv_.notify_all();
-  return true;
+}
+
+void ShardedAggregator::note_in_flight() {
+  peak_pending_ = std::max(peak_pending_, tasks_.size() + active_);
+  // Occupancy gauge tracks the high-water mark: a point-in-time value
+  // would almost always read 0 by the time anyone snapshots.
+  if (pending_ != nullptr) {
+    pending_->record_max(static_cast<double>(tasks_.size() + active_));
+  }
 }
 
 void ShardedAggregator::worker_loop(std::size_t lane) {
@@ -199,31 +212,51 @@ void ShardedAggregator::submit(const FoldContext& ctx,
   }
   if (plan.empty()) return;
 
+  // One task per non-empty span: the context's cached partition when it
+  // carries one, else the (arena size, shard count) split.
+  const std::size_t n_spans = ctx.spans.empty() ? shards_ : ctx.spans.size();
+  const auto task_at = [&](std::size_t i) {
+    FoldSpan span;
+    if (ctx.spans.empty()) {
+      const auto [begin, end] = span_of(ctx.parameters.size(), shards_, i);
+      span = FoldSpan{begin, end};
+    } else {
+      span = ctx.spans[i];
+    }
+    return FoldTask{ctx, plan, span, i, &latch};
+  };
+  if (workers_.empty()) {
+    // No worker lanes: the submitting thread is the pool's only lane, so
+    // it runs the plan right here and the latch is resolved on return.
+    // Planners sharing a workerless pool therefore never meet on its task
+    // queue, and never fold each other's sessions.
+    for (std::size_t i = 0; i < n_spans; ++i) {
+      const FoldTask task = task_at(i);
+      if (task.span.begin >= task.span.end) continue;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        latch.pending_.fetch_add(1, std::memory_order_acq_rel);
+        ++active_;
+        note_in_flight();
+      }
+      finish(task);
+    }
+    return;
+  }
+
   std::size_t armed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ctx.spans.empty()) {
-      for (std::size_t i = 0; i < ctx.spans.size(); ++i) {
-        tasks_.push_back(FoldTask{ctx, plan, ctx.spans[i], i, &latch});
-        ++armed;
-      }
-    } else {
-      for (std::size_t s = 0; s < shards_; ++s) {
-        const auto [begin, end] = span_of(ctx.parameters.size(), shards_, s);
-        if (begin >= end) continue;
-        tasks_.push_back(FoldTask{ctx, plan, FoldSpan{begin, end}, s, &latch});
-        ++armed;
-      }
+    for (std::size_t i = 0; i < n_spans; ++i) {
+      const FoldTask task = task_at(i);
+      if (task.span.begin >= task.span.end) continue;
+      tasks_.push_back(task);
+      ++armed;
     }
     // Armed under mu_, before any lane can pop a task: a task finishing
     // can therefore never observe a latch it would drive below zero.
     latch.pending_.fetch_add(armed, std::memory_order_acq_rel);
-    peak_pending_ = std::max(peak_pending_, tasks_.size() + active_);
-    // Occupancy gauge tracks the high-water mark: a point-in-time value
-    // would almost always read 0 by the time anyone snapshots.
-    if (pending_ != nullptr) {
-      pending_->record_max(static_cast<double>(tasks_.size() + active_));
-    }
+    note_in_flight();
   }
   if (armed > 1) {
     work_cv_.notify_all();

@@ -101,15 +101,18 @@ class FoldLatch {
 /// deterministic because concurrency never crosses a span boundary: each
 /// task replays its whole plan over its own slice in plan order, so every
 /// element still experiences the identical operation sequence the
-/// sequential fold would apply. Per-session results are bitwise equal to a
-/// solo sequential server for any shard/batch/tenant configuration.
+/// sequential fold would apply. Per-session results are bitwise equal to
+/// the serial core::FleetServer fed the same sequence, for any
+/// shard/batch/tenant configuration.
 ///
-/// Threading: `shards - 1` persistent workers (shards == 1 spawns none).
-/// submit() only enqueues; tasks are executed by the workers *and* by any
-/// thread blocked in wait() — a waiter drains queued tasks (any plan's)
-/// instead of idling, which both keeps shards == 1 fully inline on the
-/// caller and makes the coordinator the S-th lane of the pool. Every
-/// submitted plan must be waited on before the pool is destroyed.
+/// Threading: `shards - 1` persistent workers. With workers, submit()
+/// only enqueues; tasks are executed by the workers *and* by any thread
+/// blocked in wait() — a waiter drains queued tasks (any plan's) instead
+/// of idling, which makes the coordinator the S-th lane of the pool.
+/// shards == 1 spawns no worker, and submit() then runs the plan on the
+/// submitting thread before returning (the latch is already resolved), so
+/// coordinators sharing a workerless pool never contend on its queue.
+/// Every submitted plan must be waited on before the pool is destroyed.
 ///
 /// Workers touch only AsyncAggregator::fold_into / flush_span and their
 /// parameter slice — mutually disjoint across tasks — so no lock is held
@@ -155,8 +158,7 @@ class ShardedAggregator {
   /// tasks (any plan's) while work remains instead of sleeping.
   void wait(FoldLatch& latch);
 
-  /// submit() + wait() in one call — the solo, synchronous path (kept for
-  /// single-plan callers and the pre-scheduler tests).
+  /// submit() + wait() in one call, for single-plan callers.
   void execute(const FoldContext& ctx, std::span<const FoldOp> plan);
 
   std::size_t shard_count() const { return shards_; }
@@ -212,6 +214,12 @@ class ShardedAggregator {
   /// Pop and run one queued task, preferring the lane's affine spans;
   /// false when the queue was empty.
   bool run_one(std::size_t lane);
+  /// Run one task already counted in `active_` and armed on its latch:
+  /// catch any throw onto the latch's failure count, then count the task
+  /// down (resolving the latch when it was the last).
+  void finish(const FoldTask& task);
+  /// Record the in-flight high-water mark; mu_ held.
+  void note_in_flight();
   static void run_task(const FoldTask& task);
   void worker_loop(std::size_t lane);
 

@@ -37,10 +37,6 @@ std::vector<double> batch_bounds() {
   return bounds;
 }
 
-std::vector<double> occupancy_bounds() {
-  return {5, 10, 25, 50, 75, 90, 95, 100};
-}
-
 // ---- HistogramSnapshot ---------------------------------------------------
 
 double HistogramSnapshot::quantile(double q) const {

@@ -40,10 +40,6 @@ std::vector<double> weight_bounds();
 /// capacity).
 std::vector<double> batch_bounds();
 
-/// Percentage buckets (0-100] for occupancy/fill ratios — e.g. how full a
-/// planner's drain batches run against their limit ("planner.occupancy_pct").
-std::vector<double> occupancy_bounds();
-
 // ---- snapshot value types ------------------------------------------------
 
 /// One merged histogram at a point in time. `bounds` are ascending upper

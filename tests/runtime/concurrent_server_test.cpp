@@ -186,16 +186,21 @@ TEST(ConcurrentServerTest, StalenessStaysExactUnderBatchedShardedDrains) {
 }
 
 TEST(ConcurrentServerTest, ShardedBatchedFoldMatchesSequentialBitwise) {
-  // The same staged backlog through (a) the PR-2 sequential fold and
-  // (b) the sharded fold with batched drains must yield bit-identical
-  // parameters: weights are computed centrally and every parameter index
-  // sees the same operation sequence.
-  auto run = [](const RuntimeConfig& runtime) {
+  // The same staged backlog through the concurrent host — any shard count,
+  // any drain-batch size — and through the serial core::FleetServer must
+  // yield bit-identical parameters: weights are computed centrally and
+  // every parameter index sees the same operation sequence.
+  std::vector<GradientJob> jobs;
+  {
+    const ServerEnv shape;  // only for its job builder
+    for (std::size_t i = 0; i < 12; ++i) jobs.push_back(shape.varied_job(0, i));
+  }
+  auto run = [&jobs](const RuntimeConfig& runtime) {
     ServerEnv env(runtime);
-    for (std::size_t i = 0; i < 12; ++i) {
+    for (const GradientJob& staged : jobs) {
       // All staged against version 0 (the thread is parked), so the drain
       // produces staleness 0..11 identically in every configuration.
-      GradientJob job = env.varied_job(0, i);
+      GradientJob job = staged;
       EXPECT_TRUE(env.server->try_submit(job).accepted);
     }
     env.server->resume();
@@ -205,11 +210,14 @@ TEST(ConcurrentServerTest, ShardedBatchedFoldMatchesSequentialBitwise) {
     return std::vector<float>(view.begin(), view.end());
   };
 
-  RuntimeConfig sequential;
-  sequential.start_paused = true;
-  const auto reference = run(sequential);
+  // ServerEnv's model and server config, fed to the serial oracle.
+  auto oracle_model = nn::zoo::mlp(8, 4, 3);
+  oracle_model->init(7);
+  core::ServerConfig config;
+  config.learning_rate = 0.1f;
+  const auto reference = test::serial_replay(*oracle_model, config, jobs);
 
-  for (const std::size_t shards : {2u, 4u}) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const std::size_t batch : {1u, 3u, 0u}) {
       RuntimeConfig runtime;
       runtime.start_paused = true;
@@ -424,73 +432,6 @@ TEST(ConcurrentServerTest, MultiPlannerHostMatchesSinglePlannerBitwise) {
           << "planners=" << planners << " tenant=" << m;
     }
   }
-}
-
-TEST(ConcurrentServerTest, AdaptiveBatchingIsBitwiseInvisibleAndSurfaced) {
-  // The adaptive controller only moves the drain-batch limit, and batch
-  // size never changes a session's fold sequence — so adaptive mode must
-  // reproduce the pinned-batch parameters exactly while its stats surface
-  // through RuntimeStats.
-  auto run = [](bool adaptive, AdaptiveBatcher::Stats* out_totals,
-                std::size_t* out_limits) {
-    RuntimeConfig runtime;
-    runtime.start_paused = true;
-    runtime.planner_threads = 2;
-    runtime.max_drain_batch = 2;
-    if (adaptive) {
-      runtime.adaptive_batch.enabled = true;
-      runtime.adaptive_batch.min_batch = 2;
-      runtime.adaptive_batch.max_batch = 16;
-      runtime.adaptive_batch.window = 1;
-      runtime.adaptive_batch.hysteresis = 1;
-    }
-    HostEnv env(runtime, 2);
-    for (std::size_t i = 0; i < 24; ++i) {
-      for (const core::ModelId id : env.ids) {
-        GradientJob job = env.varied_job(id, 0, i);
-        EXPECT_TRUE(env.server->try_submit(job).accepted);
-      }
-    }
-    env.server->resume();
-    env.server->drain();
-    const auto stats = env.server->stats(env.ids[0]);
-    if (adaptive) {
-      EXPECT_EQ(stats.planner_batch_limits.size(), 2u);
-      for (const std::size_t limit : stats.planner_batch_limits) {
-        EXPECT_GE(limit, 2u);
-        EXPECT_LE(limit, 16u);
-      }
-      if (out_totals != nullptr) {
-        out_totals->widenings = stats.adaptive_widenings;
-        out_totals->narrowings = stats.adaptive_narrowings;
-      }
-      if (out_limits != nullptr) {
-        *out_limits = stats.planner_batch_limits.size();
-      }
-    } else {
-      EXPECT_TRUE(stats.planner_batch_limits.empty());
-      EXPECT_EQ(stats.adaptive_widenings, 0u);
-    }
-    env.server->stop();
-    std::vector<float> params;
-    for (const auto& model : env.models) {
-      const auto view = model->parameters_view();
-      params.insert(params.end(), view.begin(), view.end());
-    }
-    return params;
-  };
-
-  const auto pinned = run(false, nullptr, nullptr);
-  AdaptiveBatcher::Stats totals;
-  std::size_t limit_count = 0;
-  const auto adapted = run(true, &totals, &limit_count);
-  ASSERT_EQ(adapted.size(), pinned.size());
-  EXPECT_EQ(0, std::memcmp(adapted.data(), pinned.data(),
-                           pinned.size() * sizeof(float)));
-  // A 24-deep staged backlog against a starting limit of 2 with window =
-  // hysteresis = 1 must widen on the first control window.
-  EXPECT_GE(totals.widenings, 1u);
-  EXPECT_EQ(limit_count, 2u);
 }
 
 TEST(ConcurrentServerTest, ImpossiblePinFallsBackUnpinnedAndCountsIt) {

@@ -307,33 +307,6 @@ TEST(GradientQueueTest, BoundedGroupDrainTakesGroupAdmissionPrefixes) {
   }
 }
 
-TEST(GradientQueueTest, WindowedGroupDepthPeakReArmsAtCurrentDepth) {
-  GradientQueue queue(64, 2, nullptr, /*groups=*/1);
-  EXPECT_EQ(queue.take_group_depth_peak(0), 0u);
-
-  for (std::size_t i = 0; i < 5; ++i) {
-    GradientJob job = job_with_version(i);
-    ASSERT_TRUE(queue.try_push(job, i));
-  }
-  std::vector<GradientJob> out;
-  EXPECT_EQ(queue.drain(out), 5u);
-
-  // The burst happened inside this window: the first take still sees it,
-  // the next take reads the re-armed (now empty) window.
-  EXPECT_EQ(queue.take_group_depth_peak(0), 5u);
-  EXPECT_EQ(queue.take_group_depth_peak(0), 0u);
-  // The monotone high-water mark, by contrast, never decays.
-  EXPECT_EQ(queue.max_depth_seen(), 5u);
-
-  // A standing backlog keeps reading its depth window after window.
-  for (std::size_t i = 0; i < 3; ++i) {
-    GradientJob job = job_with_version(i);
-    ASSERT_TRUE(queue.try_push(job, i));
-  }
-  EXPECT_EQ(queue.take_group_depth_peak(0), 3u);
-  EXPECT_EQ(queue.take_group_depth_peak(0), 3u);
-}
-
 TEST(GradientQueueTest, CloseWakesEveryGroupConsumer) {
   GradientQueue queue(64, 4, nullptr, /*groups=*/3);
   std::vector<std::thread> consumers;

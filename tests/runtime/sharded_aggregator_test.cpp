@@ -295,6 +295,44 @@ TEST(ShardedAggregatorTest, SubmitValidatesContextAndLatch) {
   pool.wait(latch);  // trivially returns
 }
 
+TEST(ShardedAggregatorTest, WorkerlessPoolRunsPlansOnTheSubmitter) {
+  // shards = 1 spawns no worker: submit() itself runs every span task (a
+  // cached partition may still carry several) and returns with the latch
+  // resolved, folding exactly like the serial reference.
+  const UpdateSet set = make_updates(12, 5);
+  const auto reference = sequential_fold(set, /*k=*/2);
+
+  learning::AsyncAggregator agg(kParams, kClasses, agg_config(2));
+  std::vector<float> params(kParams, 0.25f);
+  const auto spans = ShardedAggregator::partition(kParams, 3);
+  ShardedAggregator pool(1);
+  EXPECT_EQ(pool.worker_count(), 0u);
+  FoldContext ctx = context_of(agg, params);
+  ctx.spans = spans;
+  std::vector<FoldOp> plan;
+  for (const auto& update : set.updates) {
+    const auto planned = agg.plan_submit(update);
+    FoldOp fold;
+    fold.gradient = update.gradient;
+    fold.weight = planned.weight;
+    plan.push_back(fold);
+    if (planned.flush) {
+      FoldOp apply;
+      apply.kind = FoldOp::Kind::kFlushApply;
+      apply.learning_rate = kLr;
+      plan.push_back(apply);
+    }
+  }
+  FoldLatch latch;
+  pool.submit(ctx, plan, latch);
+  EXPECT_TRUE(latch.done());
+  pool.wait(latch);  // trivially returns
+  EXPECT_TRUE(bitwise_equal(reference, params));
+  const auto stats = pool.pool_stats();
+  EXPECT_EQ(stats.tasks_executed, spans.size());
+  EXPECT_EQ(stats.peak_pending, 1u);  // one task in flight at a time
+}
+
 /// Scheduler core (DESIGN.md §9): many sessions' plans submitted back to
 /// back on one pool, one latch each, waited only after all were queued —
 /// cross-context concurrency must leave every context bitwise identical

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -256,36 +257,44 @@ TEST(RuntimeTelemetryTest, LifecycleEventsCoverEveryProcessedGradient) {
 }
 
 TEST(RuntimeTelemetryTest, ShardedPathEmitsSessionFoldAndPoolTaskSpans) {
-  RuntimeConfig runtime;
-  runtime.telemetry.enabled = true;
-  runtime.aggregation_shards = 2;
-  TelemetryEnv env(runtime);
-  constexpr std::size_t kJobs = 8;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    GradientJob job = env.unit_job(env.server->version());
-    ASSERT_TRUE(env.server->try_submit(job).accepted);
-    env.server->drain();
-  }
-  env.server->stop();
-
-  const auto records = env.server->telemetry()->tracer().collect();
-  const auto counts = phase_counts(records);
-  EXPECT_EQ(counts.at(telemetry::TracePhase::kFold), kJobs);
-  // One session-fold span per non-empty plan (here: one per drain batch),
-  // and at least one pool task per span.
-  ASSERT_GT(counts.at(telemetry::TracePhase::kSessionFold), 0u);
-  EXPECT_GE(counts.at(telemetry::TracePhase::kFoldTask),
-            counts.at(telemetry::TracePhase::kSessionFold));
-  // Span events carry durations; fold-task lanes are pool threads.
-  for (const auto& record : records) {
-    if (telemetry::is_span(record.event.phase)) {
-      EXPECT_GT(record.event.a, 0u);
+  // One fold path for every shard count: a workerless pool (shards = 1)
+  // runs its tasks on the planner, and still traces them.
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig runtime;
+    runtime.telemetry.enabled = true;
+    runtime.aggregation_shards = shards;
+    TelemetryEnv env(runtime);
+    constexpr std::size_t kJobs = 8;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      GradientJob job = env.unit_job(env.server->version());
+      ASSERT_TRUE(env.server->try_submit(job).accepted);
+      env.server->drain();
     }
+    env.server->stop();
+
+    const auto records = env.server->telemetry()->tracer().collect();
+    const auto counts = phase_counts(records);
+    EXPECT_EQ(counts.at(telemetry::TracePhase::kFold), kJobs);
+    // One session-fold span per non-empty plan (here: one per drain
+    // batch), and at least one pool task per span.
+    ASSERT_GT(counts.at(telemetry::TracePhase::kSessionFold), 0u);
+    EXPECT_GE(counts.at(telemetry::TracePhase::kFoldTask),
+              counts.at(telemetry::TracePhase::kSessionFold));
+    // Span events carry durations.
+    for (const auto& record : records) {
+      if (telemetry::is_span(record.event.phase)) {
+        EXPECT_GT(record.event.a, 0u);
+      }
+    }
+    const auto snapshot = env.server->telemetry()->metrics().snapshot();
+    const auto* task_ns = snapshot.histogram("pool.task_ns");
+    ASSERT_NE(task_ns, nullptr);
+    EXPECT_EQ(task_ns->count, counts.at(telemetry::TracePhase::kFoldTask));
+    EXPECT_EQ(env.server->stats().fold_tasks_executed,
+              counts.at(telemetry::TracePhase::kFoldTask));
+    EXPECT_GT(env.server->stats().fold_tasks_executed, 0u);
   }
-  const auto snapshot = env.server->telemetry()->metrics().snapshot();
-  const auto* task_ns = snapshot.histogram("pool.task_ns");
-  ASSERT_NE(task_ns, nullptr);
-  EXPECT_EQ(task_ns->count, counts.at(telemetry::TracePhase::kFoldTask));
 }
 
 TEST(RuntimeTelemetryTest, RejectsAndQueueWaitSurfaceInStats) {

@@ -1,8 +1,8 @@
 // Determinism matrix over the concurrent serving runtime: the final model
 // of a ParallelFleet drive must be bitwise identical across every
-// {worker threads} x {aggregation shards} x {drain batch} configuration,
-// and match the sequential AsyncAggregator fold (the default runtime's
-// per-job submit() path) bit for bit. Weights are computed centrally at
+// {worker threads} x {aggregation shards} x {drain batch} x {planners}
+// configuration, and match the serial core::FleetServer driven through the
+// same round protocol bit for bit. Weights are computed centrally at
 // processing time and every parameter index sees the same operation
 // sequence, so neither the shard fan-out nor the batch cadence may change
 // a single ULP.
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -42,68 +43,141 @@ const data::TrainTestSplit& shared_split() {
   return split;
 }
 
-/// Build a fresh, identically-initialized environment and drive it for a
-/// fixed schedule; returns the final-model bit hash. `telemetry` turns the
-/// observability substrate on — which must be invisible in the result
-/// (timing is observed, never consulted; DESIGN.md §11).
-/// An adaptive-batching config that actually moves during a short drive:
-/// tight starting range, one-drain windows, no hysteresis damping.
-AdaptiveBatchConfig live_adaptive_config() {
-  AdaptiveBatchConfig config;
-  config.enabled = true;
-  config.min_batch = 2;
-  config.max_batch = 64;
-  config.window = 1;
-  config.hysteresis = 1;
-  return config;
-}
+/// The drive every ParallelFleet cell runs: a fresh, identically
+/// initialized model, server config and six workers.
+struct Drive {
+  static constexpr std::size_t kRounds = 4;
+  static constexpr std::size_t kMaxArrivalDelay = 2;
+  /// Churn: some computed gradients never arrive.
+  static constexpr double kDropoutProb = 0.2;
+  static constexpr std::uint64_t kSeed = 11;
 
+  Drive() {
+    const auto& split = shared_split();
+    model = nn::zoo::small_cnn(1, 14, 14, 4);
+    model->init(1);
+    config.learning_rate = 0.05f;
+    stats::Rng rng(2);
+    const auto partition = data::partition_iid(split.train.size(), 6, rng);
+    const auto fleet = device::lab_fleet();
+    for (std::size_t u = 0; u < partition.size(); ++u) {
+      auto replica = nn::zoo::small_cnn(1, 14, 14, 4);
+      replica->init(1);
+      workers.emplace_back(static_cast<int>(u), std::move(replica),
+                           split.train, partition[u],
+                           device::spec(fleet[u % fleet.size()]), 100 + u);
+    }
+  }
+
+  std::unique_ptr<nn::Sequential> model;
+  core::ServerConfig config;
+  std::vector<core::FleetWorker> workers;
+};
+
+/// Drive a concurrent host for the fixed schedule; returns the final-model
+/// bit hash. `telemetry` turns the observability substrate on — which must
+/// be invisible in the result (timing is observed, never consulted;
+/// DESIGN.md §11).
 std::uint64_t run_cell(std::size_t n_threads, std::size_t shards,
                        std::size_t max_batch, bool telemetry = false,
-                       std::size_t planners = 1, bool adaptive = false) {
-  const auto& split = shared_split();
-  auto model = nn::zoo::small_cnn(1, 14, 14, 4);
-  model->init(1);
-  core::ServerConfig config;
-  config.learning_rate = 0.05f;
+                       std::size_t planners = 1) {
+  Drive drive;
   RuntimeConfig runtime;
   runtime.aggregation_shards = shards;
   runtime.max_drain_batch = max_batch;
   runtime.telemetry.enabled = telemetry;
   runtime.planner_threads = planners;
-  if (adaptive) runtime.adaptive_batch = live_adaptive_config();
-  ConcurrentFleetServer server(*model, pretrained_iprof(), config, runtime);
-
-  stats::Rng rng(2);
-  const auto partition = data::partition_iid(split.train.size(), 6, rng);
-  const auto fleet = device::lab_fleet();
-  std::vector<core::FleetWorker> workers;
-  for (std::size_t u = 0; u < partition.size(); ++u) {
-    auto replica = nn::zoo::small_cnn(1, 14, 14, 4);
-    replica->init(1);
-    workers.emplace_back(static_cast<int>(u), std::move(replica), split.train,
-                         partition[u], device::spec(fleet[u % fleet.size()]),
-                         100 + u);
-  }
+  ConcurrentFleetServer server(*drive.model, pretrained_iprof(), drive.config,
+                               runtime);
 
   ParallelFleet::Config cfg;
   cfg.n_threads = n_threads;
-  cfg.rounds = 4;
-  cfg.max_arrival_delay = 2;
-  cfg.dropout_prob = 0.2;  // churn: some computed gradients never arrive
-  cfg.seed = 11;
-  ParallelFleet driver(server, workers, cfg);
+  cfg.rounds = Drive::kRounds;
+  cfg.max_arrival_delay = Drive::kMaxArrivalDelay;
+  cfg.dropout_prob = Drive::kDropoutProb;
+  cfg.seed = Drive::kSeed;
+  ParallelFleet driver(server, drive.workers, cfg);
   const auto stats = driver.run();
   EXPECT_GT(stats.gradients_submitted, 0u);
   EXPECT_EQ(stats.runtime.processed, stats.gradients_submitted);
+  EXPECT_EQ(stats.rejected_submissions, 0u);
   server.stop();
-  return param_hash(model->parameters_view());
+  return param_hash(drive.model->parameters_view());
+}
+
+/// The serial oracle for run_cell: the same drive on one thread against
+/// core::FleetServer, following ParallelFleet's round protocol — requests
+/// in worker order, each computed gradient's arrival delay and dropout
+/// coin drawn from the worker's private stream, due arrivals handed to
+/// handle_gradient in worker order, and the gradients still in flight
+/// after the last round delivered at the end, in worker order.
+std::uint64_t serial_drive_hash() {
+  Drive drive;
+  core::FleetServer server(*drive.model, pretrained_iprof(), drive.config);
+  struct Flight {
+    std::size_t arrival_round = 0;
+    bool dropped = false;
+    std::size_t task_version = 0;
+    core::FleetWorker::ExecutionResult result;
+  };
+  auto& workers = drive.workers;
+  std::vector<std::optional<Flight>> flights(workers.size());
+  std::vector<stats::Rng> rngs;
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    rngs.push_back(stats::Rng::stream(Drive::kSeed, w));
+  }
+  const auto deliver = [&](const Flight& flight) {
+    if (flight.dropped) return;
+    server.handle_gradient(flight.task_version, flight.result.gradient,
+                           flight.result.minibatch_labels,
+                           flight.result.mini_batch,
+                           flight.result.observation);
+  };
+  for (std::size_t round = 0; round < Drive::kRounds; ++round) {
+    std::vector<std::optional<core::TaskAssignment>> assigned(workers.size());
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (flights[w].has_value()) continue;
+      core::TaskAssignment assignment = server.handle_request(
+          workers[w].device_info(), workers[w].device().model_name(),
+          workers[w].label_info());
+      if (assignment.accepted) assigned[w] = std::move(assignment);
+    }
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (!assigned[w].has_value()) continue;
+      Flight flight;
+      flight.result = workers[w].execute(*assigned[w]);
+      flight.arrival_round =
+          round + static_cast<std::size_t>(rngs[w].uniform_int(
+                      0, static_cast<std::int64_t>(Drive::kMaxArrivalDelay)));
+      flight.dropped = rngs[w].bernoulli(Drive::kDropoutProb);
+      flight.task_version = assigned[w]->model_version;
+      flights[w] = std::move(flight);
+    }
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      if (!flights[w].has_value() || flights[w]->arrival_round > round) {
+        continue;
+      }
+      deliver(*flights[w]);
+      flights[w].reset();
+    }
+  }
+  for (const auto& flight : flights) {
+    if (flight.has_value()) deliver(*flight);
+  }
+  return param_hash(drive.model->parameters_view());
+}
+
+/// The oracle hash for the default kernel backend, computed once.
+std::uint64_t serial_reference() {
+  static const std::uint64_t hash = serial_drive_hash();
+  return hash;
 }
 
 /// --- Multi-tenant concurrent-fold matrix (DESIGN.md §9) ---------------
 /// {threads} x {shards} x {batches} x {tenants}: every session hosted
 /// among others, folded concurrently on the shared scheduler, must end
-/// bitwise identical to its solo sequential-fold run. Sessions are cheap
+/// bitwise identical to the serial core::FleetServer fed its own job
+/// sequence. Sessions are cheap
 /// MLPs fed staged-value jobs from live producer threads (each session
 /// owned by exactly one thread — per-session admission order is program
 /// order, which is all the determinism argument needs).
@@ -133,23 +207,16 @@ core::ServerConfig tenant_server_config() {
 
 constexpr std::size_t kTenantJobs = 24;
 
-/// Solo sequential reference for tenant `m`: shards = 1, unbatched.
-std::vector<float> tenant_solo_reference(std::size_t m) {
+/// Serial oracle for tenant `m`: its jobs, in its own admission order,
+/// through core::FleetServer.
+std::vector<float> tenant_serial_reference(std::size_t m) {
   auto model = nn::zoo::mlp(8, 4, 3);
   model->init(50 + m);
-  RuntimeConfig runtime;
-  runtime.start_paused = true;
-  ConcurrentFleetServer server(*model, test::pretrained_iprof(),
-                               tenant_server_config(), runtime);
+  std::vector<GradientJob> jobs;
   for (std::size_t i = 0; i < kTenantJobs; ++i) {
-    GradientJob job = tenant_job(*model, core::kDefaultModelId, m, i);
-    EXPECT_TRUE(server.try_submit(job).accepted);
+    jobs.push_back(tenant_job(*model, core::kDefaultModelId, m, i));
   }
-  server.resume();
-  server.drain();
-  server.stop();
-  const auto view = model->parameters_view();
-  return std::vector<float>(view.begin(), view.end());
+  return test::serial_replay(*model, tenant_server_config(), jobs);
 }
 
 /// One cell: `tenants` sessions on one host, driven live by `threads`
@@ -159,8 +226,7 @@ std::vector<std::vector<float>> run_tenant_cell(std::size_t tenants,
                                                 std::size_t threads,
                                                 std::size_t shards,
                                                 std::size_t batch,
-                                                std::size_t planners = 1,
-                                                bool adaptive = false) {
+                                                std::size_t planners = 1) {
   std::vector<std::unique_ptr<nn::Sequential>> models;
   for (std::size_t m = 0; m < tenants; ++m) {
     models.push_back(nn::zoo::mlp(8, 4, 3));
@@ -170,7 +236,6 @@ std::vector<std::vector<float>> run_tenant_cell(std::size_t tenants,
   runtime.aggregation_shards = shards;
   runtime.max_drain_batch = batch;
   runtime.planner_threads = planners;
-  if (adaptive) runtime.adaptive_batch = live_adaptive_config();
   ConcurrentFleetServer host(runtime);
   std::vector<core::ModelId> ids;
   for (auto& model : models) {
@@ -208,7 +273,7 @@ std::vector<std::vector<float>> run_tenant_cell(std::size_t tenants,
 TEST(DeterminismMatrixTest, TenantMatrixMatchesSoloRunsBitwise) {
   std::vector<std::vector<float>> references;
   for (std::size_t m = 0; m < 4; ++m) {
-    references.push_back(tenant_solo_reference(m));
+    references.push_back(tenant_serial_reference(m));
   }
 
   std::vector<std::string> mismatches;
@@ -231,77 +296,55 @@ TEST(DeterminismMatrixTest, TenantMatrixMatchesSoloRunsBitwise) {
     }
   }
   EXPECT_TRUE(mismatches.empty()) << [&] {
-    std::string report = "sessions diverging from their solo runs:";
+    std::string report = "sessions diverging from their serial replays:";
     for (const auto& cell : mismatches) report += "\n  " + cell;
     return report;
   }();
 }
 
-TEST(DeterminismMatrixTest, TenantMatrixInvariantAcrossPlannersAndAdaptive) {
-  // The §13 axes: sessions shard across planner threads by id, each
-  // planner drains its own queue group under its own (possibly moving)
-  // batch limit — and every tenant must still end bitwise identical to
-  // its solo single-planner sequential run. Tickets are host-global and
-  // each group's drain is an exact admission-order prefix, so neither the
-  // planner count nor the adaptive schedule may move a ULP.
+TEST(DeterminismMatrixTest, TenantMatrixInvariantAcrossPlanners) {
+  // The §13 axis: sessions shard across planner threads by id, each
+  // planner drains its own queue group — and every tenant must still end
+  // bitwise identical to its serial replay. Tickets are host-global and
+  // each group's drain is an exact admission-order prefix, so the planner
+  // count may not move a ULP.
   constexpr std::size_t kTenants = 4;
   std::vector<std::vector<float>> references;
   for (std::size_t m = 0; m < kTenants; ++m) {
-    references.push_back(tenant_solo_reference(m));
+    references.push_back(tenant_serial_reference(m));
   }
 
   std::vector<std::string> mismatches;
   for (const std::size_t planners : {1u, 2u, 4u}) {
-    for (const bool adaptive : {false, true}) {
-      const auto finals =
-          run_tenant_cell(kTenants, /*threads=*/4, /*shards=*/2, /*batch=*/8,
-                          planners, adaptive);
+    for (const std::size_t shards : {1u, 2u}) {
+      const auto finals = run_tenant_cell(kTenants, /*threads=*/4, shards,
+                                          /*batch=*/8, planners);
       for (std::size_t m = 0; m < kTenants; ++m) {
         if (param_hash(finals[m]) != param_hash(references[m])) {
           mismatches.push_back("tenant " + std::to_string(m) +
                                ": planners=" + std::to_string(planners) +
-                               " adaptive=" + (adaptive ? "on" : "off"));
+                               " shards=" + std::to_string(shards));
         }
       }
     }
   }
   EXPECT_TRUE(mismatches.empty()) << [&] {
-    std::string report = "sessions diverging from their solo runs:";
+    std::string report = "sessions diverging from their serial replays:";
     for (const auto& cell : mismatches) report += "\n  " + cell;
     return report;
   }();
 }
 
-TEST(DeterminismMatrixTest, PlannerAndAdaptiveAxesAreBitwiseInvisible) {
+TEST(DeterminismMatrixTest, PlannerAxisIsBitwiseInvisible) {
   // Single-model drive through the full ParallelFleet protocol: extra
-  // planners idle (one model maps to one group) and the adaptive
-  // controller only re-times drains — the final model must not notice.
-  const std::uint64_t baseline = run_cell(2, 2, 8);
-  for (const std::size_t planners : {2u, 4u}) {
-    for (const bool adaptive : {false, true}) {
-      EXPECT_EQ(baseline,
-                run_cell(2, 2, 8, /*telemetry=*/false, planners, adaptive))
-          << "planners=" << planners
-          << " adaptive=" << (adaptive ? "on" : "off");
+  // planners idle (one model maps to one group) — the final model must
+  // still be the serial oracle's.
+  for (const std::size_t planners : {1u, 2u, 4u}) {
+    for (const std::size_t shards : {1u, 2u}) {
+      EXPECT_EQ(serial_reference(),
+                run_cell(2, shards, 8, /*telemetry=*/false, planners))
+          << "planners=" << planners << " shards=" << shards;
     }
-  }
-}
-
-TEST(DeterminismMatrixTest, AdaptiveBatcherIsClockFreeUnderTelemetry) {
-  // Acceptance check for the counters-not-clocks invariant: the adaptive
-  // controller feeds on queue-depth and occupancy counters it owns, never
-  // the §11 telemetry clocks — so enabling telemetry under full adaptive
-  // mode cannot perturb the model. If the controller ever consulted a
-  // clock, the extra clock reads telemetry induces would move the drain
-  // schedule; the schedule is result-invisible anyway, but this axis
-  // keeps the dependency structure honest end to end.
-  for (const std::size_t planners : {1u, 2u}) {
-    const std::uint64_t off =
-        run_cell(2, 2, 8, /*telemetry=*/false, planners, /*adaptive=*/true);
-    const std::uint64_t on =
-        run_cell(2, 2, 8, /*telemetry=*/true, planners, /*adaptive=*/true);
-    EXPECT_EQ(off, on) << "telemetry perturbed adaptive mode at planners="
-                       << planners;
   }
 }
 
@@ -340,8 +383,8 @@ TEST(DeterminismMatrixTest, KernelBackendAxisIsBitwiseStablePerBackend) {
 TEST(DeterminismMatrixTest, TelemetryOnOffIsBitwiseIdentical) {
   // The telemetry axis (DESIGN.md §11): tracing reads clocks and writes
   // rings, but no scheduling or learning decision ever consults it, so
-  // turning it on cannot move a single ULP — across the sequential path,
-  // the sharded fold and batched drains alike.
+  // turning it on cannot move a single ULP — for a workerless or a
+  // threaded fold pool and batched drains alike.
   const std::tuple<std::size_t, std::size_t, std::size_t> cells[] = {
       {1, 1, 0}, {2, 2, 8}, {4, 4, 32}};
   for (const auto& [threads, shards, batch] : cells) {
@@ -350,13 +393,27 @@ TEST(DeterminismMatrixTest, TelemetryOnOffIsBitwiseIdentical) {
     EXPECT_EQ(off, on) << "telemetry perturbed the model at threads="
                        << threads << " shards=" << shards
                        << " batch=" << batch;
+    EXPECT_EQ(serial_reference(), on);
+  }
+}
+
+TEST(DeterminismMatrixTest, PlannerAxisIsClockFreeUnderTelemetry) {
+  // Planners drain their queue groups on counters they own, never the
+  // §11 telemetry clocks — so enabling telemetry under one or several
+  // planners cannot perturb the model, and both runs stay the serial
+  // oracle's.
+  for (const std::size_t planners : {1u, 2u}) {
+    const std::uint64_t off = run_cell(2, 2, 8, /*telemetry=*/false, planners);
+    const std::uint64_t on = run_cell(2, 2, 8, /*telemetry=*/true, planners);
+    EXPECT_EQ(off, on) << "telemetry perturbed the model at planners="
+                       << planners;
+    EXPECT_EQ(serial_reference(), on) << "planners=" << planners;
   }
 }
 
 TEST(DeterminismMatrixTest, FinalModelInvariantAcrossThreadsShardsBatches) {
-  // Baseline: one driver thread, the sequential AsyncAggregator fold
-  // (shards = 1), unbatched drains — the PR-2 reference path.
-  const std::uint64_t baseline = run_cell(1, 1, 0);
+  // Baseline: the serial core::FleetServer driven through the same rounds.
+  const std::uint64_t baseline = serial_reference();
 
   std::map<std::string, std::uint64_t> mismatches;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -372,7 +429,7 @@ TEST(DeterminismMatrixTest, FinalModelInvariantAcrossThreadsShardsBatches) {
     }
   }
   EXPECT_TRUE(mismatches.empty()) << [&] {
-    std::string report = "cells diverging from the sequential baseline:";
+    std::string report = "cells diverging from the serial oracle:";
     for (const auto& [cell, hash] : mismatches) {
       report += "\n  " + cell + " -> " + std::to_string(hash);
     }

@@ -9,9 +9,11 @@
 #include <span>
 #include <vector>
 
+#include "fleet/core/server.hpp"
 #include "fleet/device/catalog.hpp"
 #include "fleet/profiler/iprof.hpp"
 #include "fleet/profiler/training_data.hpp"
+#include "fleet/runtime/gradient_queue.hpp"
 
 namespace fleet::test {
 
@@ -35,6 +37,22 @@ inline std::uint64_t param_hash(std::span<const float> params) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// The serial oracle: replay one session's jobs, in admission order,
+/// through core::FleetServer::handle_gradient on `model` (freshly
+/// initialized by the caller) and return the final parameters. The
+/// concurrent host must match this bit for bit in every configuration.
+inline std::vector<float> serial_replay(
+    nn::TrainableModel& model, const core::ServerConfig& config,
+    const std::vector<runtime::GradientJob>& jobs) {
+  core::FleetServer server(model, pretrained_iprof(), config);
+  for (const runtime::GradientJob& job : jobs) {
+    server.handle_gradient(job.task_version, job.gradient, job.label_dist,
+                           job.mini_batch, job.feedback);
+  }
+  const auto view = model.parameters_view();
+  return std::vector<float>(view.begin(), view.end());
 }
 
 inline bool bitwise_equal(const std::vector<float>& a,
