@@ -16,8 +16,8 @@ StalenessTracker::StalenessTracker(double s_percent,
 }
 
 void StalenessTracker::observe(double staleness) {
-  if (staleness < 0.0) {
-    throw std::invalid_argument("StalenessTracker: negative staleness");
+  if (!(staleness >= 0.0)) {
+    throw std::invalid_argument("StalenessTracker: negative or NaN staleness");
   }
   quantile_.add(staleness);
 }

@@ -1,9 +1,10 @@
 #include "fleet/stats/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "fleet/stats/quantile.hpp"
 
 namespace fleet::stats {
 
@@ -67,13 +68,7 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> values)
 
 double EmpiricalCdf::quantile(double q) const {
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
-  if (sorted_.size() == 1) return sorted_.front();
-  // Linear interpolation between order statistics.
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  return interpolate_sorted(sorted_, q);
 }
 
 double EmpiricalCdf::fraction_below(double x) const {

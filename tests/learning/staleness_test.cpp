@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fleet/stats/rng.hpp"
 
 namespace fleet::learning {
@@ -48,6 +50,9 @@ TEST(StalenessTrackerTest, RejectsBadInput) {
   EXPECT_THROW(StalenessTracker(101.0), std::invalid_argument);
   StalenessTracker ok;
   EXPECT_THROW(ok.observe(-1.0), std::invalid_argument);
+  EXPECT_THROW(ok.observe(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(ok.count(), 0u);
 }
 
 TEST(StalenessTrackerTest, ThresholdNeverBelowFloor) {
