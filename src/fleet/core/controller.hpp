@@ -25,11 +25,15 @@ class Controller {
   std::size_t admitted_count() const { return admitted_; }
   std::size_t rejected_count() const { return rejected_; }
 
-  /// Current effective thresholds (for inspection/benches).
+  /// Current effective thresholds (for inspection/benches); 0 and 1 while
+  /// the check is not live (too little history, or disabled by config).
   double size_threshold() const;
   double similarity_threshold() const;
 
  private:
+  bool size_check_on() const;
+  bool similarity_check_on() const;
+
   ControllerConfig config_;
   stats::RunningQuantile sizes_;
   stats::RunningQuantile similarities_;

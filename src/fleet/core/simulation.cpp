@@ -115,6 +115,9 @@ FleetSimulation::Stats FleetSimulation::run() {
       }
     }
   }
+  for (; !queue.empty(); queue.pop()) {
+    if (queue.top().kind == Event::Kind::kGradientArrival) ++stats.in_flight;
+  }
   return stats;
 }
 

@@ -39,6 +39,9 @@ class FleetSimulation {
     std::size_t gradients = 0;
     /// Gradients computed but lost to dropout before reaching the server.
     std::size_t dropped = 0;
+    /// Gradients computed but still uploading when the run ended. Every
+    /// computed gradient is in exactly one of gradients, dropped, in_flight.
+    std::size_t in_flight = 0;
     std::size_t model_updates = 0;
     std::vector<double> staleness_values;
     std::vector<double> task_times_s;

@@ -8,9 +8,21 @@ namespace {
 TEST(ControllerTest, AdmitsEverythingWithDefaultConfig) {
   Controller controller{ControllerConfig{}};
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(controller.admit(1 + static_cast<std::size_t>(i), 0.5).admitted);
+    EXPECT_TRUE(controller.admit(51 + static_cast<std::size_t>(i), 0.5).admitted);
+  }
+  // Past min_history, a new lowest bound and a new highest similarity
+  // must still be admitted: size_percentile = 0 and
+  // similarity_percentile = 100 disable those checks, they do not
+  // threshold at the window's minimum and maximum.
+  for (std::size_t n = 50; n >= 1; --n) {
+    EXPECT_TRUE(controller.admit(n, 0.5).admitted) << "size " << n;
+  }
+  for (int i = 1; i <= 50; ++i) {
+    EXPECT_TRUE(controller.admit(10, 0.5 + 0.01 * i).admitted) << "step " << i;
   }
   EXPECT_EQ(controller.rejected_count(), 0u);
+  EXPECT_DOUBLE_EQ(controller.size_threshold(), 0.0);
+  EXPECT_DOUBLE_EQ(controller.similarity_threshold(), 1.0);
 }
 
 TEST(ControllerTest, EnforcesAbsoluteMinBatch) {
