@@ -129,10 +129,8 @@ TEST(SimulationTest, ZeroDropoutReplaysLegacyEventSequence) {
   // touching FleetSimulation, the dropout guard (draw only when
   // dropout_prob > 0) regressed and every seeded experiment shifted. If
   // the change to the event loop is intentional, update the numbers
-  // deliberately. Re-pinned when the controller's disabling percentiles
-  // stopped pruning: the default config used to reject 4 of 65 requests
-  // (each a new lowest bound or highest similarity); now every request
-  // is admitted and computed, so fewer fit in the 300 s.
+  // deliberately. The default controller config disables both percentile
+  // checks, so every request is admitted and computed.
   FleetSimulation::Config cfg;
   cfg.duration_s = 300.0;
   cfg.dropout_prob = 0.0;

@@ -83,9 +83,9 @@ TEST(InterpolateSortedTest, EmpiricalCdfSharesTheFormula) {
   EXPECT_DOUBLE_EQ(interpolate_sorted(cdf.sorted(), 0.375), 2.5);
 }
 
-// Differential check against the sort-on-query formulation the sorted
-// window replaced: copy the window, sort it, interpolate. The reference
-// uses a stable sort of the window in arrival order, which is the one
+// Differential check against sort-on-query: copy the window, sort it,
+// interpolate. The reference uses a stable sort of the window in arrival
+// order, which is the one
 // order among equal values (+0.0 and -0.0 compare equal) that the
 // incremental structure promises, so every result must match bit for bit.
 class SortOnQuery {
